@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the simulation kernel itself: edges per
 //! second through a full reference-switch chassis, naive stepper vs the
-//! fast path (calendar/heap scheduling + quiescence skipping + bursts).
+//! fast path (cached module activity + quiescence skipping + bursts).
 //! Small iteration counts keep `--test` mode (the CI smoke step) quick;
 //! `exp10_kernel` produces the headline numbers.
 

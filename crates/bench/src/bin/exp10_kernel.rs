@@ -1,7 +1,9 @@
 //! E10 (extension) — Simulation-kernel throughput: naive stepper vs the
-//! fast path (edge calendar / heap scheduling, quiescence fast-forward,
+//! fast path (cached `Module::activity`, quiescence fast-forward,
 //! time-blocked activity bounds, burst stream transfers, zero-copy
-//! packet buffers).
+//! packet buffers). Both run the same min-scan edge dispatcher; the naive
+//! stepper (`SchedulerMode::Scan`, idle skip off) ticks every module at
+//! every edge without asking for its activity at all.
 //!
 //! Runs the three bracketing workloads from `netfpga_bench::kernel` on a
 //! 4-port reference switch and reports simulated core-clock edges per
@@ -11,15 +13,15 @@
 //!   at least 2× (acceptance bar; in practice far more, since idle
 //!   stretches fast-forward in O(domains)).
 //! * **saturated** — back-to-back line-rate frames: wire-serialisation
-//!   windows are fast-forwarded via `Module::next_activity` time bounds,
+//!   windows are fast-forwarded via `Activity::Until` time bounds,
 //!   so the fast path must *win* here too (floor 2× the pre-zero-copy
 //!   fast kernel; tracked via the absolute edges/sec floor below).
 //! * **flood** — unlearned destinations fan every frame out to all other
 //!   ports as refcount bumps on one shared buffer (`pool_cow_copies`
 //!   stays 0). Nearly every edge e carries real work on *some* module, so
 //!   per-edge time-blocking has little to skip — the win here comes from
-//!   the fused dispatcher serving cached activity bounds instead of
-//!   re-probing every module on every edge (floor 1.2× naive).
+//!   the dispatch sweep serving cached activity instead of re-probing
+//!   every module on every edge (floor 1.2× naive).
 //!
 //! Emits the standard table + `@json` rows, and writes the rows to
 //! `BENCH_kernel.json` for the documentation tables. Pass `--quick` for

@@ -1,7 +1,7 @@
 //! Kernel-throughput workloads: how fast the simulation kernel burns
 //! through clock edges on a full reference-switch chassis, comparing the
-//! naive stepper (linear domain scan, every module ticked every edge, one
-//! word per cycle) against the fast path (edge calendar or heap, quiescence
+//! naive stepper (uncached scan, every module ticked every edge, one word
+//! per cycle) against the fast path (cached module activity, quiescence
 //! skipping, time-blocked fast-forward, burst stream transfers).
 //!
 //! Three workloads bracket the design space:
@@ -37,11 +37,11 @@ use std::time::{Duration, Instant};
 /// Which stepper configuration a run measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelConfig {
-    /// Linear scan, no quiescence skipping, word-at-a-time transfers —
+    /// `Scan` mode, no quiescence skipping, word-at-a-time transfers —
     /// the seed kernel, kept as the reference semantics.
     Naive,
-    /// Auto scheduler (calendar with heap fallback), quiescence
-    /// fast-forward, burst transfers end to end.
+    /// `Auto` mode (cached module activity), quiescence fast-forward,
+    /// burst transfers end to end.
     Fast,
 }
 

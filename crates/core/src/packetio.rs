@@ -7,7 +7,7 @@
 //! MAC models in `netfpga-phy` add wire-rate pacing on top.
 
 use crate::pktbuf::PktBuf;
-use crate::sim::{Module, TickContext, WakeHandle};
+use crate::sim::{Activity, Module, TickContext, WakeHandle};
 use crate::stream::{segment_buf, Meta, PortMask, Reassembler, StreamRx, StreamTx};
 use crate::time::Time;
 use std::cell::RefCell;
@@ -142,8 +142,12 @@ impl Module for PacketSource {
 
     /// With no queued packet and no in-flight words, a tick does nothing at
     /// any future edge until a packet is injected.
-    fn is_quiescent(&self) -> bool {
-        self.idle()
+    fn activity(&self) -> Activity {
+        if self.idle() {
+            Activity::Quiescent
+        } else {
+            Activity::Active
+        }
     }
 
     /// Only injections can un-idle a source; downstream space never changes
@@ -268,8 +272,12 @@ impl Module for PacketSink {
 
     /// With nothing to pop, a tick does nothing until upstream pushes
     /// (even mid-packet: reassembly only advances on a popped word).
-    fn is_quiescent(&self) -> bool {
-        !self.rx.can_pop()
+    fn activity(&self) -> Activity {
+        if self.rx.can_pop() {
+            Activity::Active
+        } else {
+            Activity::Quiescent
+        }
     }
 
     /// Only upstream pushes can un-idle a sink.

@@ -17,45 +17,30 @@
 //!
 //! # Edge dispatch
 //!
-//! Finding the next rising edge is the kernel's innermost loop. Three
-//! interchangeable dispatchers produce bit-identical edge sequences (see
-//! [`SchedulerMode`]):
+//! The next rising edge is the minimum over the domains' pending edges;
+//! every domain whose edge falls at that instant then ticks, in creation
+//! order. A chassis builds one clock domain, so the scan is one compare.
 //!
-//! * **Calendar** — when every registered clock shares a phase origin (a
-//!   fresh simulator, or any simulator right after [`Simulator::reset`]),
-//!   the coincidence pattern of the clocks repeats every hyperperiod
-//!   (the least common multiple of the periods). The kernel precomputes
-//!   that pattern once — one slot per distinct edge instant, each holding
-//!   the list of domains that tick there in creation order — and then
-//!   dispatches edges by walking the slot table, with no searching at all.
-//! * **Heap** — when the phases are unaligned or the hyperperiod would
-//!   need more than [`MAX_CALENDAR_EDGES`] slots (e.g. co-prime periods),
-//!   a binary min-heap of `(next_edge, domain)` keys dispatches each edge
-//!   in `O(log n)` without rescanning every domain.
-//! * **Scan** — the original linear `min`-scan over all domains, kept as
-//!   the executable specification the other two are tested against.
+//! # Activity
 //!
-//! # Quiescence
+//! Modules opt into the fast path by overriding [`Module::activity`]. A
+//! module may report [`Activity::Quiescent`] only if `tick` would have no
+//! observable effect **now and at every future edge**, assuming none of its
+//! inputs change in the meantime; [`Activity::Until`] makes the same
+//! promise for every edge strictly before a known instant. Because modules
+//! only influence one another through ticks, if no module can act before
+//! some instant then no input can change before it either: `run_until` and
+//! `run_cycles` then fast-forward — advancing `now` and every cycle counter
+//! arithmetically to exactly the state the naive loop would have reached,
+//! without executing the intervening edges.
 //!
-//! Modules may opt into the fast path by overriding
-//! [`Module::is_quiescent`]. The contract is strict but time-independent:
-//! a module may report quiescent only if `tick` would have no observable
-//! effect **now and at every future edge**, assuming none of its inputs
-//! change in the meantime. Because modules only influence one another
-//! through ticks, if every module is quiescent at once then no input can
-//! change and the whole simulation is provably idle: `run_until` and
-//! `run_cycles` then fast-forward — advancing `now` and every cycle
-//! counter arithmetically to exactly the state the naive loop would have
-//! reached, without executing the intervening edges.
+//! # Cached activity (edge-triggered invalidation)
 //!
-//! # Cached activity bounds (edge-triggered invalidation)
-//!
-//! Re-asking every module for `is_quiescent`/`next_activity` on every
-//! probe is itself a full scan — on all-busy workloads it costs almost as
-//! much as ticking. The fused dispatchers (calendar and heap; everything
-//! except the [`SchedulerMode::Scan`] reference) therefore *cache* each
-//! module's classification and only re-query it when something could have
-//! changed it:
+//! Re-asking every module for its activity on every probe is itself a full
+//! scan — on all-busy workloads it costs almost as much as ticking. The
+//! default [`SchedulerMode::Auto`] therefore *caches* each module's
+//! [`Activity`] and only re-queries it when something could have changed
+//! it:
 //!
 //! * a module that exposes a [`WakeHandle`] (via [`Module::wake_handle`])
 //!   is re-queried only when the flag is dirty — streams, wires and
@@ -66,16 +51,17 @@
 //! * modules without a handle (the default) are simply re-queried every
 //!   time: out-of-tree modules keep working, at scan cost.
 //!
-//! Debug builds verify the protocol: serving a clean cache re-queries the
-//! module anyway and asserts the classification did not drift, so a
-//! module that mutates activity-relevant state without waking fails loudly
-//! instead of silently skipping work.
+//! [`SchedulerMode::Scan`] keeps no caches and re-queries every module: the
+//! reference the cached path is verified against.
+//!
+//! Builds with debug assertions verify the protocol: serving a clean cache
+//! re-queries the module anyway and asserts the classification did not
+//! drift, so a module that mutates activity-relevant state without waking
+//! fails loudly instead of silently skipping work.
 
 use crate::stats::Counter;
 use crate::time::{Frequency, Time};
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Per-tick context handed to every module.
@@ -87,7 +73,7 @@ pub struct TickContext {
     pub cycle: u64,
     /// Period of the module's clock domain. Lets a module convert a cycle
     /// count into an absolute instant — e.g. to stamp the release time of a
-    /// fixed-latency pipeline for [`Module::next_activity`].
+    /// fixed-latency pipeline for [`Module::activity`].
     pub period: Time,
 }
 
@@ -97,10 +83,10 @@ pub struct TickContext {
 /// A module that opts into cached activity bounds creates one handle,
 /// registers clones of it on every channel that can change its activity
 /// (input streams, wires, host-side queues — anything external that its
-/// [`Module::is_quiescent`]/[`Module::next_activity`] answers depend on),
-/// and returns it from [`Module::wake_handle`]. Whenever such a channel is
-/// written, [`WakeHandle::wake`] marks the cached classification dirty and
-/// the kernel re-queries the module before trusting it again.
+/// [`Module::activity`] answer depends on), and returns it from
+/// [`Module::wake_handle`]. Whenever such a channel is written,
+/// [`WakeHandle::wake`] marks the cached classification dirty and the
+/// kernel re-queries the module before trusting it again.
 ///
 /// Handles are born dirty, so a freshly built module is always queried at
 /// least once. Waking is a single `Cell<bool>` store — cheap enough for
@@ -152,48 +138,40 @@ pub trait Module {
     /// Return to power-on state. Default: no-op.
     fn reset(&mut self) {}
 
-    /// Fast-path hint: `true` promises that `tick` would have no observable
-    /// effect now **or at any future edge**, as long as none of this
-    /// module's inputs change. The simulator may then skip the tick — and,
-    /// when every module is quiescent at once, fast-forward simulated time
-    /// without executing edges at all.
+    /// Fast-path hint: what `tick` can do from now on, as long as none of
+    /// this module's inputs change in the meantime.
     ///
-    /// The promise must not depend on the current time or cycle count: a
-    /// module waiting on a timer or a scheduled release cycle is *not*
-    /// quiescent. Default: `false` (always tick), which is always safe.
-    fn is_quiescent(&self) -> bool {
-        false
-    }
-
-    /// Time-dependent sibling of [`Module::is_quiescent`]: `Some(t)`
-    /// promises that `tick` has no observable effect at any edge **strictly
-    /// before** instant `t`, as long as none of this module's inputs change
-    /// in the meantime. A MAC waiting for the head frame on a wire to
-    /// finish arriving, or for a transmit backlog gate to open, is exactly
-    /// this shape: not quiescent (scheduled work exists) but provably inert
-    /// until a known instant.
+    /// * [`Activity::Quiescent`] promises no observable effect now **or at
+    ///   any future edge**. The promise must not depend on the current time
+    ///   or cycle count: a module waiting on a timer or a scheduled release
+    ///   cycle is not quiescent.
+    /// * [`Activity::Until`]`(t)` promises no observable effect at any edge
+    ///   **strictly before** `t`. A MAC waiting for the head frame on a wire
+    ///   to finish arriving, or for a transmit backlog gate to open, is
+    ///   exactly this shape: scheduled work exists, but nothing can happen
+    ///   before a known instant. A bound at or before the current time is
+    ///   harmless (no edge precedes it, so nothing is skipped).
+    /// * [`Activity::Active`] makes no promise: the module ticks at the
+    ///   next edge.
     ///
-    /// When every non-quiescent module reports a bound, the simulator may
-    /// fast-forward through all edges before the earliest bound without
-    /// executing them — advancing time and cycle counters arithmetically to
-    /// exactly the state the naive loop would have reached. Returning a
-    /// bound at or before the current time is harmless (no edge precedes
-    /// it, so nothing is skipped). Default: `None` (no promise), which is
+    /// The simulator may skip the ticks these promises cover and, when no
+    /// module can act before some instant, fast-forward simulated time to
+    /// it without executing edges at all. Default: `Active`, which is
     /// always safe.
-    fn next_activity(&self) -> Option<Time> {
-        None
+    fn activity(&self) -> Activity {
+        Activity::Active
     }
 
     /// Opt into cached activity bounds: return (a clone of) the
     /// [`WakeHandle`] this module registered on all of its external input
-    /// channels. The kernel then caches the module's
-    /// `is_quiescent`/`next_activity` classification and re-queries it only
-    /// after a tick or a wake, instead of on every probe and every edge.
+    /// channels. The kernel then caches the module's [`Module::activity`]
+    /// and re-queries it only after a tick or a wake, instead of on every
+    /// probe and every edge.
     ///
     /// Default: `None` — the module is re-queried every time (scan cost),
     /// which is always correct. Only return a handle if **every** channel
     /// that can change this module's activity wakes it; a missed channel
-    /// means skipped work (loud in debug builds, silent in release).
+    /// means skipped work (loud with debug assertions, silent without).
     fn wake_handle(&self) -> Option<WakeHandle> {
         None
     }
@@ -242,31 +220,36 @@ impl SoftResetLine {
     }
 }
 
-/// Snapshot of the module population for fast-forward decisions.
-enum Activity {
-    /// Every module is quiescent: simulated time may be skipped wholesale.
-    AllQuiescent,
-    /// Every non-quiescent module promises no effect before this instant.
-    BlockedUntil(Time),
-    /// At least one module must tick at the very next edge.
+/// What a module's ticks can do from now on (see [`Module::activity`]).
+///
+/// The kernel uses the same enum for its per-module cache and for the
+/// whole population: folded over every module, `Quiescent` means all of
+/// them are quiescent and `Until(t)` is the earliest bound of the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Activity {
+    /// Inert at every future edge until an input changes.
+    Quiescent,
+    /// Inert at every edge strictly before the instant.
+    Until(Time),
+    /// Must tick at the very next edge of its domain.
     Active,
+}
+
+impl Activity {
+    /// The verdict for two modules together: `Active` wins, bounds take
+    /// the earlier instant and `Quiescent` changes nothing.
+    fn join(self, other: Activity) -> Activity {
+        match (self, other) {
+            (Activity::Quiescent, x) | (x, Activity::Quiescent) => x,
+            (Activity::Until(a), Activity::Until(b)) => Activity::Until(a.min(b)),
+            _ => Activity::Active,
+        }
+    }
 }
 
 /// Identifies a clock domain within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockId(usize);
-
-/// One module's cached classification: what its last
-/// `is_quiescent`/`next_activity` query answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cached {
-    /// Quiescent: inert at every future edge until an input changes.
-    Quiescent,
-    /// Inert at every edge strictly before the instant.
-    Bounded(Time),
-    /// Must tick at the very next edge of its domain.
-    Active,
-}
 
 /// A registered module plus the kernel-side state of its activity cache.
 struct ModuleSlot {
@@ -275,7 +258,7 @@ struct ModuleSlot {
     wake: Option<WakeHandle>,
     /// Last classification; meaningful only while `wake` is `Some` and
     /// clean (modules without a handle are re-queried every time).
-    cached: Cached,
+    cached: Activity,
     /// The module ticked since `cached` was last queried. Only ever set
     /// while `cached` is `Active`: the dispatch sweep re-ticks such a
     /// module without a fresh classification (a tick of a module that
@@ -294,20 +277,8 @@ impl ModuleSlot {
         ModuleSlot {
             module,
             wake,
-            cached: Cached::Active,
+            cached: Activity::Active,
             stale: false,
-        }
-    }
-
-    /// Fresh classification straight from the module.
-    fn query(module: &dyn Module) -> Cached {
-        if module.is_quiescent() {
-            Cached::Quiescent
-        } else {
-            match module.next_activity() {
-                Some(t) => Cached::Bounded(t),
-                None => Cached::Active,
-            }
         }
     }
 
@@ -318,23 +289,21 @@ impl ModuleSlot {
     /// executed edge, so it stays read-only on the flag and batches its
     /// counter into `probes_avoided`, which the caller flushes once per
     /// sweep.
-    fn classify(&mut self, stats: &KernelStatCells, probes_avoided: &mut u64) -> Cached {
+    fn classify(&mut self, stats: &KernelStatCells, probes_avoided: &mut u64) -> Activity {
         let Some(wake) = &self.wake else {
-            return Self::query(&*self.module);
+            return self.module.activity();
         };
         if self.stale || wake.is_dirty() {
-            wake.clear();
-            self.stale = false;
-            self.cached = Self::query(&*self.module);
+            self.refresh();
             stats.invalidations.incr();
         } else {
             *probes_avoided += 1;
             // Contract check: a clean flag promises the module's activity
             // did not change since the last query. A module that mutated
             // activity-relevant state without waking would silently skip
-            // work in release builds — fail loudly here instead.
+            // work without debug assertions — fail loudly here instead.
             debug_assert_eq!(
-                Self::query(&*self.module),
+                self.module.activity(),
                 self.cached,
                 "module `{}` changed its activity classification without a \
                  tick or a wake (missing WakeHandle::wake on some input \
@@ -352,7 +321,7 @@ impl ModuleSlot {
         if let Some(wake) = &self.wake {
             wake.clear();
             self.stale = false;
-            self.cached = Self::query(&*self.module);
+            self.cached = self.module.activity();
         }
     }
 
@@ -362,7 +331,7 @@ impl ModuleSlot {
             wake.wake();
         }
         self.stale = false;
-        self.cached = Cached::Active;
+        self.cached = Activity::Active;
     }
 }
 
@@ -375,127 +344,73 @@ struct DomainState {
 }
 
 impl DomainState {
-    /// Fold the domain's cached module classifications into one summary,
-    /// early-exiting on the first `Active` module — nothing a later module
-    /// reports can loosen an `Active` verdict.
-    fn activity(&mut self, stats: &KernelStatCells) -> Cached {
-        let mut bound: Option<Time> = None;
+    /// Tick every module of this domain at instant `edge` and schedule the
+    /// domain's next edge.
+    ///
+    /// The cached path consults the activity cache per module: a quiescent
+    /// module is skipped, and a time-blocked module whose bound lies
+    /// strictly after `edge` is skipped too — its tick is a proven no-op.
+    /// Every module that does tick has its cache refreshed in place, fusing
+    /// the activity probe into this sweep. The unfused `Scan` reference
+    /// re-queries each module's activity per edge and skips only the
+    /// quiescent ones.
+    fn dispatch(&mut self, edge: Time, idle_skip: bool, fused: bool, stats: &KernelStatCells) {
+        let ctx = TickContext {
+            now: edge,
+            cycle: self.cycle,
+            period: self.period,
+        };
         let mut avoided = 0u64;
-        let mut verdict = Cached::Quiescent;
         for s in &mut self.slots {
-            match s.classify(stats, &mut avoided) {
-                Cached::Active => {
-                    verdict = Cached::Active;
-                    break;
+            if fused && idle_skip {
+                if s.stale {
+                    // Last classified `Active` and ticked since: tick again
+                    // without re-classifying. If it meanwhile went idle the
+                    // tick is the same no-op the reference executes; the
+                    // activity fold re-queries before any fast-forward.
+                    s.module.tick(&ctx);
+                    avoided += 1;
+                    continue;
                 }
-                Cached::Quiescent => {}
-                Cached::Bounded(t) => bound = Some(bound.map_or(t, |b| b.min(t))),
+                let run = match s.classify(stats, &mut avoided) {
+                    Activity::Quiescent => false,
+                    Activity::Until(t) => t <= edge,
+                    Activity::Active => true,
+                };
+                if run {
+                    s.module.tick(&ctx);
+                    if s.wake.is_some() && s.cached == Activity::Active {
+                        // Steady-state streaming: no bound to learn, so
+                        // defer the re-query to the next activity fold.
+                        s.stale = true;
+                    } else {
+                        s.refresh();
+                    }
+                }
+            } else if !idle_skip || s.module.activity() != Activity::Quiescent {
+                s.module.tick(&ctx);
             }
         }
-        stats.probes_avoided.add(avoided);
-        if matches!(verdict, Cached::Active) {
-            return Cached::Active;
+        if avoided > 0 {
+            stats.probes_avoided.add(avoided);
         }
-        match bound {
-            None => Cached::Quiescent,
-            Some(t) => Cached::Bounded(t),
-        }
+        self.cycle += 1;
+        self.next_edge = edge + self.period;
     }
 }
 
-/// How the simulator finds the next clock edge. All modes produce exactly
+/// How the simulator serves module activity. Both modes produce exactly
 /// the same edge sequence, tick order and timestamps; they differ only in
-/// dispatch cost.
+/// cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Use the edge calendar when the clock phases allow it, otherwise the
-    /// heap. The default.
+    /// Serve activity from the per-module caches, refreshed by the dispatch
+    /// sweep and by wakes. The default.
     #[default]
     Auto,
-    /// The original linear scan over all domains (the reference
-    /// implementation the fast paths are verified against).
+    /// Re-query every module on every probe, with no caches: the reference
+    /// implementation the cached path is verified against.
     Scan,
-    /// Force the precomputed edge calendar; falls back to the heap when the
-    /// phases are unaligned or the hyperperiod is impractical.
-    Calendar,
-    /// Force the binary-heap dispatcher.
-    Heap,
-}
-
-/// Upper bound on the total number of per-domain edges in one hyperperiod
-/// before the calendar is abandoned for the heap. Co-prime periods (say
-/// 6.4 ns and 5.000001 ns) would otherwise explode the table.
-pub const MAX_CALENDAR_EDGES: usize = 4096;
-
-/// One distinct edge instant within the hyperperiod.
-struct Slot {
-    /// Offset from the phase origin, in `(0, hyperperiod]` picoseconds.
-    offset: u64,
-    /// Domains ticking at this instant, in creation order.
-    domains: Vec<u32>,
-}
-
-/// Precomputed hyperperiod coincidence pattern of all clocks.
-struct Calendar {
-    /// Phase origin: every domain has edges at `base + k * period`, k >= 1.
-    base: Time,
-    /// Least common multiple of all periods, in picoseconds.
-    hyper: u64,
-    /// Distinct edge instants within one hyperperiod, ascending.
-    slots: Vec<Slot>,
-    /// Which hyperperiod repetition the cursor is in.
-    epoch: u64,
-    /// Index of the next slot to dispatch.
-    cursor: usize,
-}
-
-impl Calendar {
-    /// Absolute time of the next edge.
-    fn next_edge(&self) -> Time {
-        Time::from_ps(self.base.as_ps() + self.epoch * self.hyper + self.slots[self.cursor].offset)
-    }
-
-    /// Advance past the slot just dispatched.
-    fn advance(&mut self) {
-        self.cursor += 1;
-        if self.cursor == self.slots.len() {
-            self.cursor = 0;
-            self.epoch += 1;
-        }
-    }
-
-    /// Reposition the cursor at the first edge strictly after `now`.
-    /// `now` must be `>= base`.
-    fn seek(&mut self, now: Time) {
-        let elapsed = now.as_ps() - self.base.as_ps();
-        self.epoch = elapsed / self.hyper;
-        let off = elapsed % self.hyper;
-        // First slot with offset > off (offsets are in (0, hyper], so
-        // off == 0 lands on slot 0 of this epoch).
-        self.cursor = self.slots.partition_point(|s| s.offset <= off);
-        if self.cursor == self.slots.len() {
-            self.cursor = 0;
-            self.epoch += 1;
-        }
-    }
-}
-
-enum SchedState {
-    /// Clocks changed (or mode changed); rebuild before the next step.
-    Invalid,
-    /// Linear scan; no auxiliary state.
-    Scan,
-    Calendar(Calendar),
-    /// Min-heap of `(next_edge, domain index)`; index breaks ties so
-    /// coincident edges pop in creation order.
-    Heap(BinaryHeap<Reverse<(Time, usize)>>),
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// Shared counter cells behind [`Simulator::kernel_stats`].
@@ -511,8 +426,8 @@ pub struct KernelStatCells {
     /// time-blocked stretches).
     pub skips: Counter,
     /// Module classifications served from a clean cache — each one a
-    /// `is_quiescent`/`next_activity` virtual probe that never ran —
-    /// plus stale-`Active` re-ticks dispatched without any probe at all.
+    /// [`Module::activity`] virtual call that never ran — plus
+    /// stale-`Active` re-ticks dispatched without any probe at all.
     pub probes_avoided: Counter,
     /// Cache re-queries, forced by a wake (edge-triggered invalidation)
     /// or by the module's own tick since the last query.
@@ -579,7 +494,6 @@ pub struct Simulator {
     domains: Vec<DomainState>,
     now: Time,
     mode: SchedulerMode,
-    sched: SchedState,
     /// Master switch for quiescence skipping and fast-forward.
     idle_skip: bool,
     /// The kernel's own work counters (steps, skips, cache traffic).
@@ -594,7 +508,6 @@ impl Default for Simulator {
             domains: Vec::new(),
             now: Time::ZERO,
             mode: SchedulerMode::Auto,
-            sched: SchedState::Invalid,
             idle_skip: true,
             stats: KernelStatCells::default(),
             reset_line: SoftResetLine::new(),
@@ -608,7 +521,7 @@ impl Simulator {
         Simulator::default()
     }
 
-    /// An empty simulator using the given edge dispatcher.
+    /// An empty simulator using the given scheduler mode.
     pub fn with_scheduler(mode: SchedulerMode) -> Simulator {
         Simulator {
             mode,
@@ -616,20 +529,19 @@ impl Simulator {
         }
     }
 
-    /// Select the edge dispatcher. Takes effect at the next step; the edge
+    /// Select the scheduler mode. Takes effect at the next step; the edge
     /// sequence is identical in every mode.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
         self.mode = mode;
-        self.sched = SchedState::Invalid;
     }
 
-    /// The configured edge dispatcher.
+    /// The configured scheduler mode.
     pub fn scheduler_mode(&self) -> SchedulerMode {
         self.mode
     }
 
-    /// Enable or disable quiescence skipping ([`Module::is_quiescent`]) and
-    /// idle fast-forward. On by default; disabling forces every tick to
+    /// Enable or disable activity skipping ([`Module::activity`]) and idle
+    /// fast-forward. On by default; disabling forces every tick to
     /// execute, which is useful for differential testing.
     pub fn set_idle_skip(&mut self, enabled: bool) {
         self.idle_skip = enabled;
@@ -638,18 +550,6 @@ impl Simulator {
     /// Whether quiescence skipping is enabled.
     pub fn idle_skip(&self) -> bool {
         self.idle_skip
-    }
-
-    /// The dispatcher actually in use after lazy rebuild: `"scan"`,
-    /// `"calendar"` or `"heap"`. Forces the rebuild if one is pending.
-    pub fn active_scheduler(&mut self) -> &'static str {
-        self.ensure_sched();
-        match &self.sched {
-            SchedState::Scan => "scan",
-            SchedState::Calendar(_) => "calendar",
-            SchedState::Heap(_) => "heap",
-            SchedState::Invalid => unreachable!("ensure_sched rebuilds"),
-        }
     }
 
     /// Create a clock domain. The first rising edge is at one period
@@ -663,7 +563,6 @@ impl Simulator {
             cycle: 0,
             slots: Vec::new(),
         });
-        self.sched = SchedState::Invalid;
         ClockId(self.domains.len() - 1)
     }
 
@@ -736,7 +635,6 @@ impl Simulator {
             d.cycle = 0;
             d.next_edge = self.now + d.period;
         }
-        self.sched = SchedState::Invalid;
     }
 
     /// The shared soft-reset request line. A watchdog (or host software)
@@ -759,61 +657,44 @@ impl Simulator {
         }
     }
 
-    /// True when every registered module reports quiescent (vacuously true
-    /// with no modules). While this holds, no tick can have an effect at any
-    /// future edge, so simulated time may be skipped wholesale.
+    /// True when every registered module reports [`Activity::Quiescent`]
+    /// (vacuously true with no modules). While this holds, no tick can have
+    /// an effect at any future edge, so simulated time may be skipped
+    /// wholesale.
     pub fn all_quiescent(&self) -> bool {
         self.domains
             .iter()
-            .all(|d| d.slots.iter().all(|s| s.module.is_quiescent()))
+            .flat_map(|d| &d.slots)
+            .all(|s| s.module.activity() == Activity::Quiescent)
     }
 
-    /// Classify the module population: fully quiescent, time-blocked until
-    /// the earliest [`Module::next_activity`] bound, or actively working.
+    /// Fold the whole module population into one [`Activity`]: `Quiescent`
+    /// when every module is, `Until` the earliest bound when every other
+    /// module is time-blocked, `Active` otherwise.
     ///
-    /// Everything except the unfused [`SchedulerMode::Scan`] reference
-    /// serves the classification from the per-module caches (see
-    /// [`ModuleSlot::classify`]); the dispatch sweep refreshed them after
-    /// every tick, so in steady state this is a scan-free fold.
+    /// [`SchedulerMode::Auto`] serves the classification from the
+    /// per-module caches (see [`ModuleSlot::classify`]); the dispatch sweep
+    /// refreshed them after every tick, so in steady state this is a
+    /// scan-free fold. [`SchedulerMode::Scan`] re-queries every module: the
+    /// executable specification the cached fold is verified against. The
+    /// fold stops at the first `Active` module — nothing a later module
+    /// reports can loosen that verdict.
     fn activity(&mut self) -> Activity {
-        if matches!(self.mode, SchedulerMode::Scan) {
-            return self.activity_unfused();
-        }
-        let mut bound: Option<Time> = None;
-        let stats = &self.stats;
-        for d in &mut self.domains {
-            match d.activity(stats) {
-                Cached::Active => return Activity::Active,
-                Cached::Quiescent => {}
-                Cached::Bounded(t) => bound = Some(bound.map_or(t, |b| b.min(t))),
+        let fused = self.mode != SchedulerMode::Scan;
+        let mut verdict = Activity::Quiescent;
+        let mut avoided = 0u64;
+        for s in self.domains.iter_mut().flat_map(|d| &mut d.slots) {
+            verdict = verdict.join(if fused {
+                s.classify(&self.stats, &mut avoided)
+            } else {
+                s.module.activity()
+            });
+            if verdict == Activity::Active {
+                break;
             }
         }
-        match bound {
-            None => Activity::AllQuiescent,
-            Some(t) => Activity::BlockedUntil(t),
-        }
-    }
-
-    /// The unfused reference probe: re-query every module, no caches. Kept
-    /// verbatim as the executable specification the fused path is verified
-    /// against (it is what [`SchedulerMode::Scan`] runs).
-    fn activity_unfused(&self) -> Activity {
-        let mut bound: Option<Time> = None;
-        for d in &self.domains {
-            for s in &d.slots {
-                if s.module.is_quiescent() {
-                    continue;
-                }
-                match s.module.next_activity() {
-                    None => return Activity::Active,
-                    Some(t) => bound = Some(bound.map_or(t, |b| b.min(t))),
-                }
-            }
-        }
-        match bound {
-            None => Activity::AllQuiescent,
-            Some(t) => Activity::BlockedUntil(t),
-        }
+        self.stats.probes_avoided.add(avoided);
+        verdict
     }
 
     /// The latest edge instant strictly before `t` across all domains, if
@@ -830,142 +711,10 @@ impl Simulator {
             .max()
     }
 
-    /// Build the dispatcher state for the current clocks and mode.
-    fn ensure_sched(&mut self) {
-        if !matches!(self.sched, SchedState::Invalid) {
-            return;
-        }
-        self.sched = match self.mode {
-            SchedulerMode::Scan => SchedState::Scan,
-            SchedulerMode::Heap => SchedState::Heap(self.build_heap()),
-            SchedulerMode::Auto | SchedulerMode::Calendar => match self.build_calendar() {
-                Some(c) => SchedState::Calendar(c),
-                None => SchedState::Heap(self.build_heap()),
-            },
-        };
-    }
-
-    fn build_heap(&self) -> BinaryHeap<Reverse<(Time, usize)>> {
-        self.domains
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Reverse((d.next_edge, i)))
-            .collect()
-    }
-
-    /// Try to build the edge calendar. Succeeds only when every domain's
-    /// pending edge is a whole number of its own periods past a common
-    /// phase origin (`now`, or time zero) and the hyperperiod is small
-    /// enough; returns `None` otherwise.
-    fn build_calendar(&self) -> Option<Calendar> {
-        if self.domains.is_empty() {
-            return None;
-        }
-        let base = [self.now, Time::ZERO].into_iter().find(|&b| {
-            self.domains.iter().all(|d| {
-                d.next_edge > b && (d.next_edge.as_ps() - b.as_ps()) % d.period.as_ps() == 0
-            })
-        })?;
-        let mut hyper: u64 = 1;
-        for d in &self.domains {
-            let p = d.period.as_ps();
-            hyper = hyper.checked_mul(p / gcd(hyper, p))?;
-        }
-        let edges: u64 = self.domains.iter().map(|d| hyper / d.period.as_ps()).sum();
-        if edges as usize > MAX_CALENDAR_EDGES {
-            return None;
-        }
-        let mut by_offset: std::collections::BTreeMap<u64, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for (i, d) in self.domains.iter().enumerate() {
-            let p = d.period.as_ps();
-            for k in 1..=hyper / p {
-                by_offset.entry(k * p).or_default().push(i as u32);
-            }
-        }
-        let slots = by_offset
-            .into_iter()
-            .map(|(offset, domains)| Slot { offset, domains })
-            .collect();
-        let mut cal = Calendar {
-            base,
-            hyper,
-            slots,
-            epoch: 0,
-            cursor: 0,
-        };
-        cal.seek(self.now);
-        Some(cal)
-    }
-
-    /// Tick every module of domain `idx` at instant `edge` and schedule the
-    /// domain's next edge.
-    ///
-    /// The fused dispatchers consult the activity cache per module: a
-    /// quiescent module is skipped (as before), and a time-blocked module
-    /// whose bound lies strictly after `edge` is skipped too — its tick is
-    /// a proven no-op, which the pre-cache kernel executed anyway. Every
-    /// module that does tick has its cache refreshed in place, fusing the
-    /// activity probe into this sweep. The unfused `Scan` reference keeps
-    /// the original per-edge `is_quiescent` re-query.
-    fn dispatch_domain(
-        domains: &mut [DomainState],
-        idx: usize,
-        edge: Time,
-        idle_skip: bool,
-        fused: bool,
-        stats: &KernelStatCells,
-    ) {
-        let d = &mut domains[idx];
-        let ctx = TickContext {
-            now: edge,
-            cycle: d.cycle,
-            period: d.period,
-        };
-        let mut avoided = 0u64;
-        for s in &mut d.slots {
-            if fused && idle_skip {
-                if s.stale {
-                    // Last classified `Active` and ticked since: tick again
-                    // without re-classifying. If it meanwhile went idle the
-                    // tick is the same no-op the reference executes; the
-                    // activity fold re-queries before any fast-forward.
-                    s.module.tick(&ctx);
-                    avoided += 1;
-                    continue;
-                }
-                let run = match s.classify(stats, &mut avoided) {
-                    Cached::Quiescent => false,
-                    Cached::Bounded(t) => t <= edge,
-                    Cached::Active => true,
-                };
-                if run {
-                    s.module.tick(&ctx);
-                    if s.wake.is_some() && matches!(s.cached, Cached::Active) {
-                        // Steady-state streaming: no bound to learn, so
-                        // defer the re-query to the next activity fold.
-                        s.stale = true;
-                    } else {
-                        s.refresh();
-                    }
-                }
-            } else if !idle_skip || !s.module.is_quiescent() {
-                s.module.tick(&ctx);
-            }
-        }
-        if avoided > 0 {
-            stats.probes_avoided.add(avoided);
-        }
-        d.cycle += 1;
-        d.next_edge = edge + d.period;
-    }
-
     /// Execute the single next clock edge (over all domains). Returns the
     /// time of that edge, or `None` if no clocks exist.
     pub fn step(&mut self) -> Option<Time> {
-        if self.domains.is_empty() {
-            return None;
-        }
+        let edge = self.domains.iter().map(|d| d.next_edge).min()?;
         // A pending soft-reset request latches at the step boundary: every
         // module is flushed *before* any module ticks this edge, so the
         // reset instant is the same in every scheduler mode.
@@ -973,92 +722,23 @@ impl Simulator {
             self.soft_reset();
         }
         self.stats.steps.incr();
-        self.ensure_sched();
-        let idle_skip = self.idle_skip;
-        let fused = !matches!(self.mode, SchedulerMode::Scan);
-        let edge = match &mut self.sched {
-            SchedState::Scan => {
-                let edge = self.domains.iter().map(|d| d.next_edge).min()?;
-                // Tick every domain whose edge falls at this instant, in
-                // creation order, so co-incident edges are deterministic.
-                for i in 0..self.domains.len() {
-                    if self.domains[i].next_edge == edge {
-                        Self::dispatch_domain(
-                            &mut self.domains,
-                            i,
-                            edge,
-                            idle_skip,
-                            fused,
-                            &self.stats,
-                        );
-                    }
-                }
-                edge
+        let fused = self.mode != SchedulerMode::Scan;
+        // Tick every domain whose edge falls at this instant, in creation
+        // order, so coincident edges are deterministic.
+        for d in &mut self.domains {
+            if d.next_edge == edge {
+                d.dispatch(edge, self.idle_skip, fused, &self.stats);
             }
-            SchedState::Calendar(cal) => {
-                let edge = cal.next_edge();
-                for j in 0..cal.slots[cal.cursor].domains.len() {
-                    let idx = cal.slots[cal.cursor].domains[j] as usize;
-                    Self::dispatch_domain(
-                        &mut self.domains,
-                        idx,
-                        edge,
-                        idle_skip,
-                        fused,
-                        &self.stats,
-                    );
-                }
-                cal.advance();
-                edge
-            }
-            SchedState::Heap(heap) => {
-                let Reverse((edge, _)) = *heap.peek()?;
-                // Coincident entries pop in ascending domain index — i.e.
-                // creation order — because the index is the tiebreaker.
-                while let Some(&Reverse((t, idx))) = heap.peek() {
-                    if t != edge {
-                        break;
-                    }
-                    heap.pop();
-                    Self::dispatch_domain(
-                        &mut self.domains,
-                        idx,
-                        edge,
-                        idle_skip,
-                        fused,
-                        &self.stats,
-                    );
-                    heap.push(Reverse((self.domains[idx].next_edge, idx)));
-                }
-                edge
-            }
-            SchedState::Invalid => unreachable!("ensure_sched rebuilds"),
-        };
+        }
         self.now = edge;
         Some(edge)
     }
 
-    /// Bring the dispatcher back in sync with `domains[*].next_edge` after a
-    /// fast-forward advanced the clocks arithmetically.
-    fn resync_sched(&mut self) {
-        match &mut self.sched {
-            SchedState::Invalid | SchedState::Scan => {}
-            SchedState::Calendar(cal) => cal.seek(self.now),
-            SchedState::Heap(heap) => {
-                heap.clear();
-                heap.extend(
-                    self.domains
-                        .iter()
-                        .enumerate()
-                        .map(|(i, d)| Reverse((d.next_edge, i))),
-                );
-            }
-        }
-    }
-
     /// Advance every clock past all edges up to and including instant `to`,
     /// without ticking any module, leaving exactly the state the naive edge
-    /// loop would have produced. Callers must ensure `all_quiescent()`.
+    /// loop would have produced. Callers must ensure no module can act at
+    /// any skipped edge: the population is quiescent, or time-blocked until
+    /// after `to`.
     fn skip_edges_through(&mut self, to: Time) {
         let mut skipped = 0u64;
         for d in &mut self.domains {
@@ -1071,7 +751,6 @@ impl Simulator {
         }
         self.stats.skips.add(skipped);
         self.now = to;
-        self.resync_sched();
     }
 
     /// The first edge instant at or after `deadline` across all domains —
@@ -1092,6 +771,40 @@ impl Simulator {
             .expect("at least one domain")
     }
 
+    /// One iteration of a run loop whose last edge is at instant `stop`:
+    /// fast-forward over edges no module can act at, or execute the next
+    /// edge. Returns `false` once the run is complete.
+    fn advance(&mut self, stop: impl Fn(&Simulator) -> Time) -> bool {
+        if self.idle_skip {
+            match self.activity() {
+                Activity::Quiescent => {
+                    self.skip_edges_through(stop(self));
+                    return false;
+                }
+                Activity::Until(t) => {
+                    // Every edge strictly before `t` is a proven no-op.
+                    // If the run would stop before any module wakes, the
+                    // whole remainder skips; otherwise skip to the last
+                    // inert edge and step the wake-up edge normally.
+                    let stop = stop(self);
+                    if stop < t {
+                        self.skip_edges_through(stop);
+                        return false;
+                    }
+                    if let Some(last) = self.last_edge_before(t) {
+                        if last > self.now {
+                            self.skip_edges_through(last);
+                            return true;
+                        }
+                    }
+                }
+                Activity::Active => {}
+            }
+        }
+        self.step();
+        true
+    }
+
     /// Run until simulated time reaches at least `deadline`.
     ///
     /// Stops at the first edge at or after `deadline` (the edge overshoot is
@@ -1100,42 +813,12 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: Time) {
         // One probe per step: with the probe fused into the dispatch pass
         // (cached bounds, refreshed as modules tick), a probe is a cache
-        // fold, not a module scan — the geometric probe backoff the
-        // pre-cache kernel used to amortise scans is retired.
-        while self.now < deadline {
-            if self.domains.is_empty() {
-                self.now = deadline;
-                return;
-            }
-            if self.idle_skip {
-                match self.activity() {
-                    Activity::AllQuiescent => {
-                        let stop = self.first_edge_at_or_after(deadline);
-                        self.skip_edges_through(stop);
-                        return;
-                    }
-                    Activity::BlockedUntil(t) => {
-                        // Every edge strictly before `t` is a proven no-op.
-                        // If the run would stop before any module wakes, the
-                        // whole remainder skips; otherwise skip to the last
-                        // inert edge and step the wake-up edge normally.
-                        let stop = self.first_edge_at_or_after(deadline);
-                        if stop < t {
-                            self.skip_edges_through(stop);
-                            return;
-                        }
-                        if let Some(last) = self.last_edge_before(t) {
-                            if last > self.now {
-                                self.skip_edges_through(last);
-                                continue;
-                            }
-                        }
-                    }
-                    Activity::Active => {}
-                }
-            }
-            self.step();
+        // fold, not a module scan.
+        if self.domains.is_empty() {
+            self.now = self.now.max(deadline);
+            return;
         }
+        while self.now < deadline && self.advance(|sim| sim.first_edge_at_or_after(deadline)) {}
     }
 
     /// Run for a duration from the current time.
@@ -1147,40 +830,14 @@ impl Simulator {
     /// Run until the given domain has executed `n` more cycles.
     pub fn run_cycles(&mut self, clock: ClockId, n: u64) {
         let target = self.domains[clock.0].cycle + n;
-        // Same probe-per-step structure as `run_until` (see there for why
-        // the geometric probe backoff is gone).
-        while self.domains[clock.0].cycle < target {
-            if self.idle_skip {
-                // The instant of the target edge; every domain processes all
-                // of its edges up to and including it (coincident edges at
-                // the stop instant tick in the same step as the target).
-                let d = &self.domains[clock.0];
-                let remaining = target - d.cycle;
-                let stop = d.next_edge + Time::from_ps((remaining - 1) * d.period.as_ps());
-                match self.activity() {
-                    Activity::AllQuiescent => {
-                        self.skip_edges_through(stop);
-                        return;
-                    }
-                    Activity::BlockedUntil(t) => {
-                        if stop < t {
-                            self.skip_edges_through(stop);
-                            return;
-                        }
-                        if let Some(last) = self.last_edge_before(t) {
-                            if last > self.now {
-                                self.skip_edges_through(last);
-                                continue;
-                            }
-                        }
-                    }
-                    Activity::Active => {}
-                }
-            }
-            if self.step().is_none() {
-                break;
-            }
-        }
+        // The run stops at the instant of the target edge; every domain
+        // processes all of its edges up to and including it (coincident
+        // edges at the stop instant tick in the same step as the target).
+        let stop = |sim: &Simulator| {
+            let d = &sim.domains[clock.0];
+            d.next_edge + Time::from_ps((target - d.cycle - 1) * d.period.as_ps())
+        };
+        while self.domains[clock.0].cycle < target && self.advance(stop) {}
     }
 
     /// Run until `pred` returns true, checking after every edge; gives up
@@ -1243,21 +900,21 @@ mod tests {
         }
     }
 
-    fn probe(name: &str, log: &TickLog, resets: &Rc<RefCell<u32>>) -> Probe {
+    /// A probe logging its ticks to `log`; `resets` counts its resets.
+    fn probe(name: &str, log: &TickLog) -> Probe {
         Probe {
             name: name.into(),
             log: log.clone(),
-            resets: resets.clone(),
+            resets: Rc::default(),
         }
     }
 
     #[test]
     fn single_clock_ticks_at_period() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
         let mut sim = Simulator::new();
         let clk = sim.add_clock("c", Frequency::mhz(200)); // 5 ns period
-        sim.add_module(clk, probe("a", &log, &resets));
+        sim.add_module(clk, probe("a", &log));
         sim.run_cycles(clk, 3);
         let log = log.borrow();
         assert_eq!(log.len(), 3);
@@ -1270,11 +927,10 @@ mod tests {
     #[test]
     fn registration_order_within_domain() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
         let mut sim = Simulator::new();
         let clk = sim.add_clock("c", Frequency::mhz(100));
-        sim.add_module(clk, probe("first", &log, &resets));
-        sim.add_module(clk, probe("second", &log, &resets));
+        sim.add_module(clk, probe("first", &log));
+        sim.add_module(clk, probe("second", &log));
         sim.run_cycles(clk, 1);
         let names: Vec<String> = log.borrow().iter().map(|e| e.0.clone()).collect();
         assert_eq!(names, vec!["first", "second"]);
@@ -1283,12 +939,11 @@ mod tests {
     #[test]
     fn two_clocks_interleave_correctly() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
         let mut sim = Simulator::new();
         let fast = sim.add_clock("fast", Frequency::mhz(200)); // 5 ns
         let slow = sim.add_clock("slow", Frequency::mhz(100)); // 10 ns
-        sim.add_module(fast, probe("f", &log, &resets));
-        sim.add_module(slow, probe("s", &log, &resets));
+        sim.add_module(fast, probe("f", &log));
+        sim.add_module(slow, probe("s", &log));
         sim.run_until(Time::from_ns(20));
         let seq: Vec<(String, u64)> = log.borrow().iter().map(|e| (e.0.clone(), e.1)).collect();
         // Edges: 5(f0) 10(f1,s0) 15(f2) 20(f3,s1); fast created first so it
@@ -1309,10 +964,9 @@ mod tests {
     #[test]
     fn run_while_predicate() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
         let mut sim = Simulator::new();
         let clk = sim.add_clock("c", Frequency::mhz(100));
-        sim.add_module(clk, probe("p", &log, &resets));
+        sim.add_module(clk, probe("p", &log));
         let log2 = log.clone();
         let done = sim.run_while(Time::from_us(1), move || log2.borrow().len() < 5);
         assert!(done);
@@ -1331,10 +985,11 @@ mod tests {
     #[test]
     fn reset_restarts_cycles_and_calls_modules() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
         let mut sim = Simulator::new();
         let clk = sim.add_clock("c", Frequency::mhz(100));
-        sim.add_module(clk, probe("p", &log, &resets));
+        let p = probe("p", &log);
+        let resets = p.resets.clone();
+        sim.add_module(clk, p);
         sim.run_cycles(clk, 4);
         sim.reset();
         assert_eq!(*resets.borrow(), 1);
@@ -1357,12 +1012,11 @@ mod tests {
     fn determinism() {
         let build = || {
             let log = Rc::new(RefCell::new(Vec::new()));
-            let resets = Rc::new(RefCell::new(0));
             let mut sim = Simulator::new();
             let a = sim.add_clock("a", Frequency::mhz(156));
             let b = sim.add_clock("b", Frequency::mhz(200));
-            sim.add_module(a, probe("a", &log, &resets));
-            sim.add_module(b, probe("b", &log, &resets));
+            sim.add_module(a, probe("a", &log));
+            sim.add_module(b, probe("b", &log));
             sim.run_until(Time::from_us(1));
             let trace = log.borrow().clone();
             trace
@@ -1374,94 +1028,85 @@ mod tests {
     // Edge dispatcher equivalence and quiescence fast-forward.
     // ------------------------------------------------------------------
 
-    /// Build one fixed three-clock topology, run it with the given
-    /// dispatcher and return (trace, now, cycles per domain).
-    fn trace_with(mode: SchedulerMode) -> (Vec<(String, u64, Time)>, Time, Vec<u64>) {
+    /// Build one clock per frequency with a probe on each, run the
+    /// topology in the given mode to `horizon` and then seven cycles of the
+    /// second clock, and return (trace, now, cycles per domain).
+    fn trace_with(
+        mode: SchedulerMode,
+        freqs: &[Frequency],
+        horizon: Time,
+    ) -> (Vec<(String, u64, Time)>, Time, Vec<u64>) {
         let log: TickLog = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
         let mut sim = Simulator::with_scheduler(mode);
-        let a = sim.add_clock("a", Frequency::mhz(200)); // 5 ns
-        let b = sim.add_clock("b", Frequency::mhz(100)); // 10 ns
-        let c = sim.add_clock("c", Frequency::mhz(125)); // 8 ns
-        sim.add_module(a, probe("a", &log, &resets));
-        sim.add_module(b, probe("b", &log, &resets));
-        sim.add_module(c, probe("c", &log, &resets));
-        sim.run_until(Time::from_ns(333));
-        sim.run_cycles(b, 7);
-        let cycles = vec![sim.cycles(a), sim.cycles(b), sim.cycles(c)];
+        let clks: Vec<ClockId> = freqs
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                let name = format!("c{i}");
+                let clk = sim.add_clock(&name, f);
+                sim.add_module(clk, probe(&name, &log));
+                clk
+            })
+            .collect();
+        sim.run_until(horizon);
+        sim.run_cycles(clks[1], 7);
+        let cycles = clks.iter().map(|&c| sim.cycles(c)).collect();
         let trace = log.borrow().clone();
         (trace, sim.now(), cycles)
     }
 
     #[test]
     fn dispatchers_produce_identical_traces() {
-        let scan = trace_with(SchedulerMode::Scan);
-        assert_eq!(scan, trace_with(SchedulerMode::Calendar));
-        assert_eq!(scan, trace_with(SchedulerMode::Heap));
-        assert_eq!(scan, trace_with(SchedulerMode::Auto));
+        let same = |freqs: &[Frequency], horizon: Time| {
+            let scan = trace_with(SchedulerMode::Scan, freqs, horizon);
+            assert_eq!(scan, trace_with(SchedulerMode::Auto, freqs, horizon));
+        };
+        // Harmonic clocks (5, 10 and 8 ns) coincide often; 999 983 Hz and
+        // 1 MHz are co-prime periods that almost never share an edge.
+        same(&[200, 100, 125].map(Frequency::mhz), Time::from_ns(333));
+        same(
+            &[Frequency::hz(999_983), Frequency::mhz(1)],
+            Time::from_us(50),
+        );
     }
 
     #[test]
-    fn auto_uses_calendar_when_phases_align() {
-        let mut sim = Simulator::new();
-        sim.add_clock("a", Frequency::mhz(200));
-        sim.add_clock("b", Frequency::mhz(100));
-        assert_eq!(sim.active_scheduler(), "calendar");
-    }
-
-    #[test]
-    fn auto_falls_back_to_heap_for_wild_periods() {
-        let mut sim = Simulator::new();
-        // 1000017 ps and 1000000 ps are co-prime enough that the
-        // hyperperiod needs millions of slots: past MAX_CALENDAR_EDGES.
-        sim.add_clock("a", Frequency::hz(999_983));
-        sim.add_clock("b", Frequency::mhz(1));
-        assert_eq!(sim.active_scheduler(), "heap");
-    }
-
-    /// Build a phase-misaligned simulator: clocks a (5 ns) and b (7 ns)
-    /// run to b's edge at 14 ns, then clock c (11 ns) joins. No common
-    /// origin fits all three pending edges (15 ns, 21 ns, 25 ns).
-    fn misaligned(mode: SchedulerMode) -> (Simulator, ClockId) {
-        let mut sim = Simulator::with_scheduler(mode);
-        let a = sim.add_clock("a", Frequency::mhz(200)); // 5 ns
-        sim.add_clock("b", Frequency::hz(142_857_143)); // 7 ns
-        sim.run_until(Time::from_ns(14));
-        sim.add_clock("c", Frequency::hz(90_909_091)); // 11 ns
-        (sim, a)
-    }
-
-    #[test]
-    fn late_added_clock_falls_back_to_heap_and_stays_exact() {
+    fn late_added_clock_stays_exact_across_reset() {
         let run = |mode: SchedulerMode| {
             let log: TickLog = Rc::new(RefCell::new(Vec::new()));
-            let resets = Rc::new(RefCell::new(0));
-            let (mut sim, a) = misaligned(mode);
-            sim.add_module(a, probe("a", &log, &resets));
+            // Clocks a (5 ns) and b (7 ns) run to b's edge at 14 ns, then
+            // clock c (11 ns) joins out of phase with both.
+            let mut sim = Simulator::with_scheduler(mode);
+            let a = sim.add_clock("a", Frequency::mhz(200));
+            sim.add_clock("b", Frequency::hz(142_857_143));
+            sim.run_until(Time::from_ns(14));
+            sim.add_clock("c", Frequency::hz(90_909_091));
+            let p = probe("a", &log);
+            let resets = p.resets.clone();
+            sim.add_module(a, p);
+            sim.run_until(Time::from_ns(103));
+            // A reset mid-run rewinds every clock to a common phase at
+            // `now`; the edges after it must still match.
+            sim.reset();
             sim.run_until(Time::from_ns(200));
             let trace = log.borrow().clone();
-            (trace, sim.now())
+            let resets = *resets.borrow();
+            (trace, sim.now(), resets)
         };
         let scan = run(SchedulerMode::Scan);
+        assert_eq!(scan.2, 1, "the reset reached the module");
         assert_eq!(scan, run(SchedulerMode::Auto));
-        assert_eq!(scan, run(SchedulerMode::Heap));
-        let (mut sim, _) = misaligned(SchedulerMode::Auto);
-        assert_eq!(sim.active_scheduler(), "heap");
-    }
-
-    #[test]
-    fn reset_reenables_calendar() {
-        let (mut sim, _) = misaligned(SchedulerMode::Auto);
-        assert_eq!(sim.active_scheduler(), "heap");
-        sim.reset(); // all phases restart from `now`: aligned again
-        assert_eq!(sim.active_scheduler(), "calendar");
     }
 
     /// A module that is quiescent from the start; its ticks must be skipped
     /// but cycle counting and time must be exactly as if it were ticked.
+    /// With a wake handle it opts into the cached protocol: quiescence is
+    /// then only allowed to change together with a wake, as the contract
+    /// requires.
     struct Idle {
         ticks: Rc<RefCell<u64>>,
         quiescent: Rc<RefCell<bool>>,
+        wake: Option<WakeHandle>,
     }
 
     impl Module for Idle {
@@ -1471,8 +1116,15 @@ mod tests {
         fn tick(&mut self, _ctx: &TickContext) {
             *self.ticks.borrow_mut() += 1;
         }
-        fn is_quiescent(&self) -> bool {
-            *self.quiescent.borrow()
+        fn activity(&self) -> Activity {
+            if *self.quiescent.borrow() {
+                Activity::Quiescent
+            } else {
+                Activity::Active
+            }
+        }
+        fn wake_handle(&self) -> Option<WakeHandle> {
+            self.wake.clone()
         }
     }
 
@@ -1487,6 +1139,7 @@ mod tests {
             Idle {
                 ticks: ticks.clone(),
                 quiescent: quiescent.clone(),
+                wake: None,
             },
         );
         sim.run_cycles(clk, 1000);
@@ -1509,7 +1162,14 @@ mod tests {
             let a = sim.add_clock("a", Frequency::mhz(156)); // 6410 ps
             let b = sim.add_clock("b", Frequency::mhz(200));
             sim.set_idle_skip(idle_skip);
-            sim.add_module(a, Idle { ticks, quiescent });
+            sim.add_module(
+                a,
+                Idle {
+                    ticks,
+                    quiescent,
+                    wake: None,
+                },
+            );
             sim.run_until(Time::from_us(3));
             (sim.now(), sim.cycles(a), sim.cycles(b))
         };
@@ -1540,7 +1200,6 @@ mod tests {
         // identical to the never-skipped run.
         let run = |idle_skip: bool| {
             let log: TickLog = Rc::new(RefCell::new(Vec::new()));
-            let resets = Rc::new(RefCell::new(0));
             let quiescent = Rc::new(RefCell::new(true));
             let ticks = Rc::new(RefCell::new(0));
             let mut sim = Simulator::new();
@@ -1552,12 +1211,13 @@ mod tests {
                 Idle {
                     ticks,
                     quiescent: quiescent.clone(),
+                    wake: None,
                 },
             );
             sim.run_until(Time::from_ns(1000));
             // Wake: add an always-active probe by flipping quiescence off.
             *quiescent.borrow_mut() = false;
-            sim.add_module(b, probe("b", &log, &resets));
+            sim.add_module(b, probe("b", &log));
             sim.run_until(Time::from_ns(2000));
             let trace = log.borrow().clone();
             // `ticks` itself differs (that is the point of skipping); all
@@ -1565,30 +1225,6 @@ mod tests {
             (trace, sim.now(), sim.cycles(a), sim.cycles(b))
         };
         assert_eq!(run(true), run(false));
-    }
-
-    /// An `Idle` that opts into the cached-bound protocol: quiescence is
-    /// only allowed to change together with a wake, as the contract
-    /// requires.
-    struct CachedIdle {
-        ticks: Rc<RefCell<u64>>,
-        quiescent: Rc<RefCell<bool>>,
-        wake: WakeHandle,
-    }
-
-    impl Module for CachedIdle {
-        fn name(&self) -> &str {
-            "cached_idle"
-        }
-        fn tick(&mut self, _ctx: &TickContext) {
-            *self.ticks.borrow_mut() += 1;
-        }
-        fn is_quiescent(&self) -> bool {
-            *self.quiescent.borrow()
-        }
-        fn wake_handle(&self) -> Option<WakeHandle> {
-            Some(self.wake.clone())
-        }
     }
 
     #[test]
@@ -1600,17 +1236,16 @@ mod tests {
         let clk = sim.add_clock("c", Frequency::mhz(100));
         sim.add_module(
             clk,
-            CachedIdle {
+            Idle {
                 ticks: ticks.clone(),
                 quiescent: quiescent.clone(),
-                wake: wake.clone(),
+                wake: Some(wake.clone()),
             },
         );
         // An always-active companion keeps the domain stepping, so every
         // edge consults (and must be served by) the idle module's cache.
         let log: TickLog = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
-        sim.add_module(clk, probe("busy", &log, &resets));
+        sim.add_module(clk, probe("busy", &log));
         sim.run_cycles(clk, 100);
         assert_eq!(*ticks.borrow(), 0, "cached-quiescent module must not tick");
         let s = sim.kernel_stats();
@@ -1646,11 +1281,12 @@ mod tests {
                 self.fired.borrow_mut().push(ctx.now);
             }
         }
-        fn is_quiescent(&self) -> bool {
-            !self.fired.borrow().is_empty()
-        }
-        fn next_activity(&self) -> Option<Time> {
-            self.fired.borrow().is_empty().then_some(self.fire_at)
+        fn activity(&self) -> Activity {
+            if self.fired.borrow().is_empty() {
+                Activity::Until(self.fire_at)
+            } else {
+                Activity::Quiescent
+            }
         }
         fn wake_handle(&self) -> Option<WakeHandle> {
             Some(self.wake.clone())
@@ -1694,8 +1330,7 @@ mod tests {
         let mut sim = Simulator::new();
         let clk = sim.add_clock("c", Frequency::mhz(100));
         let log: TickLog = Rc::new(RefCell::new(Vec::new()));
-        let resets = Rc::new(RefCell::new(0));
-        sim.add_module(clk, probe("p", &log, &resets));
+        sim.add_module(clk, probe("p", &log));
         sim.run_cycles(clk, 50);
         let s = sim.kernel_stats();
         assert_eq!(s.steps, 50, "active module: every edge executes");
@@ -1756,11 +1391,7 @@ mod tests {
             let out = (*ticks.borrow(), soft_resets.borrow().clone());
             out
         };
-        for mode in [
-            SchedulerMode::Scan,
-            SchedulerMode::Calendar,
-            SchedulerMode::Heap,
-        ] {
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             let (ticks, softs) = run(mode);
             assert_eq!(ticks, 10);
             // Requested during the cycle-3 tick (the 4th); consumed before
@@ -1814,10 +1445,10 @@ mod tests {
         let clk = sim.add_clock("c", Frequency::mhz(100));
         sim.add_module(
             clk,
-            CachedIdle {
+            Idle {
                 ticks: Rc::new(RefCell::new(0)),
                 quiescent: quiescent.clone(),
-                wake: WakeHandle::new(),
+                wake: Some(WakeHandle::new()),
             },
         );
         sim.run_cycles(clk, 3);

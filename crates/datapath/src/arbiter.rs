@@ -2,7 +2,7 @@
 //! stream, round-robin at packet granularity — the first stage of every
 //! reference pipeline.
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{StreamRx, StreamTx};
 
 /// N-to-1 packet-granular round-robin arbiter.
@@ -167,8 +167,12 @@ impl Module for InputArbiter {
 
     /// Idle when every input is empty: with nothing to pop, a tick cannot
     /// move a word regardless of lock or output state.
-    fn is_quiescent(&self) -> bool {
-        self.inputs.iter().all(|rx| !rx.can_pop())
+    fn activity(&self) -> Activity {
+        if self.inputs.iter().any(|rx| rx.can_pop()) {
+            Activity::Active
+        } else {
+            Activity::Quiescent
+        }
     }
 
     /// External activity channels: pushes into any input, pops from the

@@ -2,7 +2,7 @@
 //! forwarding. Used to emulate a device-under-test for OSNT latency
 //! experiments and to pad pipeline timing in composed designs.
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{segment, Reassembler, StreamRx, StreamTx, Word};
 use netfpga_core::time::Time;
 use std::collections::VecDeque;
@@ -83,19 +83,18 @@ impl Module for DelayStage {
 
     /// Idle when nothing is buffered at any of the three holding points:
     /// with no word to pop, no held packet and nothing staged, a tick
-    /// cannot have an effect until upstream pushes.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() && self.held.is_empty() && self.emitting.is_empty()
-    }
-
-    /// With nothing to ingest or emit but packets waiting out the delay,
-    /// the tick is a no-op until the earliest release instant — exactly
-    /// the gate the emit path checks against `now`.
-    fn next_activity(&self) -> Option<Time> {
+    /// cannot have an effect until upstream pushes. With nothing to ingest
+    /// or emit but packets waiting out the delay, the tick is a no-op until
+    /// the earliest release instant — exactly the gate the emit path checks
+    /// against `now`.
+    fn activity(&self) -> Activity {
         if self.input.can_pop() || !self.emitting.is_empty() {
-            return None;
+            return Activity::Active;
         }
-        self.held.front().map(|&(release, _)| release)
+        match self.held.front() {
+            Some(&(release, _)) => Activity::Until(release),
+            None => Activity::Quiescent,
+        }
     }
 
     /// External activity channels: pushes into the input, pops from the
@@ -167,5 +166,27 @@ mod tests {
         let c = cap.pop().unwrap();
         assert_eq!(c.data, vec![9u8; 256]);
         assert_eq!(c.meta.src_port, 2);
+    }
+
+    /// A fully received packet leaves the stage inert until exactly its
+    /// release instant: arrival plus the configured delay.
+    #[test]
+    fn activity_bound_is_the_release_instant() {
+        let (in_tx, in_rx) = Stream::new(8, 32);
+        let (out_tx, _out_rx) = Stream::new(8, 32);
+        let delay = Time::from_us(3);
+        let mut stage = DelayStage::new("delay", in_rx, out_tx, delay);
+        assert_eq!(stage.activity(), Activity::Quiescent);
+        for w in segment(&[7u8; 64], 32, netfpga_core::stream::Meta::default()) {
+            in_tx.push(w);
+        }
+        assert_eq!(stage.activity(), Activity::Active, "words to ingest");
+        let period = Time::from_ns(5);
+        for cycle in 0..2 {
+            let now = Time::from_ps((cycle + 1) * period.as_ps());
+            stage.tick(&TickContext { now, cycle, period });
+        }
+        // The second word completed the packet at 10 ns.
+        assert_eq!(stage.activity(), Activity::Until(Time::from_ns(10) + delay));
     }
 }

@@ -3,7 +3,7 @@
 //! registers every reference design carries.
 
 use netfpga_core::regs::RegisterSpace;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{StreamRx, StreamTx};
 
@@ -153,8 +153,12 @@ impl Module for StatsStage {
     }
 
     /// Idle when there is nothing to pass through.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+    fn activity(&self) -> Activity {
+        if self.input.can_pop() {
+            Activity::Active
+        } else {
+            Activity::Quiescent
+        }
     }
 
     /// Only upstream pushes can un-idle the pass-through.

@@ -10,7 +10,7 @@
 
 use crate::sched::{QueueView, Scheduler};
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{segment_buf, Meta, Reassembler, StreamRx, StreamTx, Word};
 use netfpga_mem::ByteFifo;
@@ -333,13 +333,18 @@ impl Module for OutputQueues {
 
     /// Idle when nothing is buffered anywhere and every scheduler is
     /// event-driven: the next effect can only come from new input.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+    fn activity(&self) -> Activity {
+        if !self.input.can_pop()
             && self.ports.iter().all(|p| {
                 p.emitting.is_empty()
                     && p.scheduler.event_driven()
                     && p.queues.iter().all(|q| q.is_empty())
             })
+        {
+            Activity::Quiescent
+        } else {
+            Activity::Active
+        }
     }
 
     /// Only new input can un-idle the stage: a quiescent stage has nothing

@@ -2,7 +2,7 @@
 //! configured rate — used by OSNT's generator for sub-line-rate streams and
 //! available as a building block for traffic shaping research.
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{StreamRx, StreamTx, Word};
 use netfpga_core::time::{BitRate, Time};
 
@@ -136,32 +136,32 @@ impl Module for RateLimiter {
 
     /// Idle when the input is empty: the bucket level is a closed form of
     /// time, so an input-less tick has no effect at any future edge.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
-    }
-
+    ///
     /// With a head packet waiting on tokens, the tick is a no-op until the
     /// bucket reaches the packet's length — a known instant under the
     /// closed-form refill. Floor rounding only makes the bound early
     /// (harmless: one extra no-op tick, never a missed admission).
-    fn next_activity(&self) -> Option<Time> {
-        if self.in_packet {
-            return None;
+    fn activity(&self) -> Activity {
+        if !self.input.can_pop() {
+            return Activity::Quiescent;
         }
-        let len = self.head_packet_len()?;
-        if len == 0 || self.rate.as_bps() == 0 {
-            return None;
-        }
-        let deficit = len as f64 - self.tokens_base;
+        // Mid-packet words, an unknown length, an unlimited rate or an
+        // already admissible head packet all tick at the next edge.
+        let deficit = match self.head_packet_len() {
+            Some(len) if !self.in_packet && len > 0 && self.rate.as_bps() > 0 => {
+                len as f64 - self.tokens_base
+            }
+            _ => return Activity::Active,
+        };
         if deficit <= 0.0 {
-            return None; // already admissible: must tick at the next edge
+            return Activity::Active;
         }
         let secs = deficit * 8.0 / self.rate.as_bps() as f64;
         // Step back well past any float rounding: a bound a few ns early
         // costs a couple of no-op ticks; a bound one ulp late would skip
         // the admission edge.
         let ps = ((secs * 1e12) as u64).saturating_sub(4096);
-        Some(self.base_time + Time::from_ps(ps))
+        Activity::Until(self.base_time + Time::from_ps(ps))
     }
 
     /// Only upstream pushes can change the limiter's classification: the

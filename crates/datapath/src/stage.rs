@@ -12,7 +12,7 @@
 //! of back-to-back packets flows at one word per cycle.
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{segment_buf, Meta, Reassembler, StreamRx, StreamTx, Word};
 use netfpga_core::telemetry::StatRegistry;
@@ -85,7 +85,7 @@ pub struct PacketStage<L: PacketLogic> {
     reasm: Reassembler,
     /// Processed packets awaiting emission: (release_cycle, release_time,
     /// words). The absolute release instant mirrors the release cycle
-    /// (`ingest_now + latency * period`) so [`Module::next_activity`] can
+    /// (`ingest_now + latency * period`) so [`Module::activity`] can
     /// report how long the stage is provably inert.
     ready: VecDeque<(u64, Time, VecDeque<Word>)>,
     /// Words of the packet currently being emitted.
@@ -256,21 +256,19 @@ impl<L: PacketLogic> Module for PacketStage<L> {
         }
     }
 
-    /// Idle when there is nothing to ingest and nothing staged for
-    /// emission. `ready` must be empty too: packets there wait on a
-    /// release *cycle*, which is time-dependent work.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() && self.ready.is_empty() && self.emitting.is_empty()
-    }
-
-    /// With nothing to ingest or emit but packets waiting out the pipeline
-    /// latency, the tick is a no-op until the earliest release instant —
-    /// exactly the release cycle the emit path gates on.
-    fn next_activity(&self) -> Option<Time> {
+    /// Idle when there is nothing to ingest, nothing staged for emission
+    /// and nothing in `ready`. With packets in `ready` waiting out the
+    /// pipeline latency (time-dependent work), the tick is a no-op until
+    /// the earliest release instant — exactly the release cycle the emit
+    /// path gates on.
+    fn activity(&self) -> Activity {
         if self.input.can_pop() || !self.emitting.is_empty() {
-            return None;
+            return Activity::Active;
         }
-        self.ready.front().map(|&(_, release_at, _)| release_at)
+        match self.ready.front() {
+            Some(&(_, release_at, _)) => Activity::Until(release_at),
+            None => Activity::Quiescent,
+        }
     }
 
     /// External activity channels: pushes into the input, pops from the
@@ -436,5 +434,28 @@ mod tests {
         sim.run_until(Time::from_us(2));
         // Indirect check: both packets traversed (sink not attached, but
         // the 64-word output channel absorbed them).
+    }
+
+    /// A processed packet waiting out the pipeline latency leaves the stage
+    /// inert until exactly its release edge: ingest instant plus
+    /// `latency` periods.
+    #[test]
+    fn activity_bound_is_the_latency_release_instant() {
+        let (in_tx, in_rx) = Stream::new(8, 32);
+        let (out_tx, _out_rx) = Stream::new(8, 32);
+        let logic = |_p: &mut PktBuf, _m: &mut Meta, _t: Time| StageAction::Forward;
+        let mut stage = PacketStage::new("stage", in_rx, out_tx, 4, logic);
+        assert_eq!(stage.activity(), Activity::Quiescent);
+        for w in segment_buf(&PktBuf::from_vec(vec![7u8; 64]), 32, Meta::default()) {
+            in_tx.push(w);
+        }
+        assert_eq!(stage.activity(), Activity::Active, "words to ingest");
+        let period = Time::from_ns(5);
+        for cycle in 0..2 {
+            let now = Time::from_ps((cycle + 1) * period.as_ps());
+            stage.tick(&TickContext { now, cycle, period });
+        }
+        // Ingested at 10 ns; released four 5 ns cycles later.
+        assert_eq!(stage.activity(), Activity::Until(Time::from_ns(30)));
     }
 }

@@ -26,7 +26,7 @@
 //! order is `ready_at` order.
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::time::Time;
 use netfpga_phy::mac::WireFrame;
@@ -143,12 +143,8 @@ impl Module for FabricEgress {
         }
     }
 
-    fn is_quiescent(&self) -> bool {
-        self.from.is_empty()
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.from.head_ready_at()
+    fn activity(&self) -> Activity {
+        self.from.activity()
     }
 
     fn wake_handle(&self) -> Option<WakeHandle> {
@@ -287,8 +283,12 @@ impl Module for FabricIngress {
         }
     }
 
-    fn is_quiescent(&self) -> bool {
-        self.shared.borrow().pending.is_empty()
+    fn activity(&self) -> Activity {
+        if self.shared.borrow().pending.is_empty() {
+            Activity::Quiescent
+        } else {
+            Activity::Active
+        }
     }
 
     fn wake_handle(&self) -> Option<WakeHandle> {

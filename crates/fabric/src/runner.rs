@@ -456,7 +456,7 @@ fn push_egresses<N: FabricNode>(
 mod tests {
     use super::*;
     use netfpga_core::pktbuf::PktBuf;
-    use netfpga_core::sim::{ClockId, Simulator, TickContext, WakeHandle};
+    use netfpga_core::sim::{Activity, ClockId, Simulator, TickContext, WakeHandle};
     use netfpga_core::time::Frequency;
     use netfpga_phy::mac::WireFrame;
     use std::cell::RefCell;
@@ -492,12 +492,8 @@ mod tests {
             }
         }
 
-        fn is_quiescent(&self) -> bool {
-            self.rx.is_empty()
-        }
-
-        fn next_activity(&self) -> Option<Time> {
-            self.rx.head_ready_at()
+        fn activity(&self) -> Activity {
+            self.rx.activity()
         }
 
         fn wake_handle(&self) -> Option<WakeHandle> {

@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
 
@@ -322,8 +322,12 @@ impl Module for FlowTap {
         self.state.borrow_mut().clear();
     }
 
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+    fn activity(&self) -> Activity {
+        if self.input.can_pop() {
+            Activity::Active
+        } else {
+            Activity::Quiescent
+        }
     }
 
     /// Only upstream pushes can un-idle the tap: with the input drained,

@@ -11,7 +11,7 @@
 
 use crate::config::PcieConfig;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{segment_buf, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use std::cell::RefCell;
@@ -692,8 +692,13 @@ impl Module for DmaEngine {
     /// no partially injected packet, and no card words to absorb. The
     /// `free_at` pacing marks are irrelevant then — with empty queues a
     /// tick is a no-op at any future instant too.
-    fn is_quiescent(&self) -> bool {
-        self.inject.is_empty() && !self.from_card.can_pop() && self.rings.borrow().tx.is_empty()
+    fn activity(&self) -> Activity {
+        if self.inject.is_empty() && !self.from_card.can_pop() && self.rings.borrow().tx.is_empty()
+        {
+            Activity::Quiescent
+        } else {
+            Activity::Active
+        }
     }
 
     /// External activity channels: host sends into the TX ring, card words

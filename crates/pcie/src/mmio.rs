@@ -9,7 +9,7 @@
 
 use crate::config::PcieConfig;
 use netfpga_core::regs::AddressMap;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::time::Time;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -148,21 +148,18 @@ impl Module for MmioBridge {
     /// Idle when no request is outstanding. Hosts post requests between
     /// simulation runs (and chassis-style harnesses wait for completions
     /// with `run_while`, which never fast-forwards), so an empty queue
-    /// means every future tick is a no-op too.
-    fn is_quiescent(&self) -> bool {
-        self.port.shared.borrow().requests.is_empty()
-    }
-
-    /// With a request queued but its latency not yet elapsed, every tick
-    /// is the early-return no-op until the completion instant — the same
-    /// `due` the serve path compares against `now`.
-    fn next_activity(&self) -> Option<Time> {
+    /// means every future tick is a no-op too. With a request queued but
+    /// its latency not yet elapsed, every tick is the early-return no-op
+    /// until the completion instant — the same `due` the serve path
+    /// compares against `now`.
+    fn activity(&self) -> Activity {
         let shared = self.port.shared.borrow();
-        let due = match shared.requests.front()? {
-            Request::Read { issued, .. } => *issued + self.config.mmio_read_latency,
-            Request::Write { issued, .. } => *issued + self.config.mmio_write_latency,
+        let due = match shared.requests.front() {
+            None => return Activity::Quiescent,
+            Some(Request::Read { issued, .. }) => *issued + self.config.mmio_read_latency,
+            Some(Request::Write { issued, .. }) => *issued + self.config.mmio_write_latency,
         };
-        Some(due.max(self.free_at))
+        Activity::Until(due.max(self.free_at))
     }
 
     /// Only host posts can un-idle the bridge; completions are consumed
@@ -251,5 +248,29 @@ mod tests {
             elapsed >= PcieConfig::gen3_x8().mmio_read_latency,
             "elapsed {elapsed}"
         );
+    }
+
+    /// A queued request leaves the bridge inert until exactly its
+    /// completion instant, and requests serialize: a write due before the
+    /// read ahead of it completes no earlier than that read.
+    #[test]
+    fn activity_bound_is_the_completion_instant() {
+        let map = AddressMap::new();
+        map.mount("ram", 0x0, 0x1000, shared(RamRegisters::new(0x1000)));
+        let cfg = PcieConfig::gen3_x8();
+        let (mut bridge, port) = MmioBridge::new("mmio", cfg, Rc::new(map));
+        assert_eq!(bridge.activity(), Activity::Quiescent);
+        let t0 = Time::from_ns(40);
+        port.post_read(0x0, t0);
+        port.post_write(0x4, 9, t0);
+        let read_due = t0 + cfg.mmio_read_latency;
+        assert_eq!(bridge.activity(), Activity::Until(read_due));
+        bridge.tick(&TickContext {
+            now: read_due,
+            cycle: 0,
+            period: Time::from_ns(5),
+        });
+        assert!(t0 + cfg.mmio_write_latency < read_due);
+        assert_eq!(bridge.activity(), Activity::Until(read_due));
     }
 }

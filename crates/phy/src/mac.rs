@@ -12,7 +12,7 @@
 //! usual one-frame assembly latency that hardware MAC+FIFO stages also add.
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{segment_buf, Meta, PortMask, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use std::cell::RefCell;
@@ -132,11 +132,14 @@ impl Wire {
         }
     }
 
-    /// Arrival instant of the head frame, if one is queued. Wires are FIFO,
-    /// so nothing can be taken before this instant: a drainer blocked on it
-    /// is provably inert until then.
-    pub fn head_ready_at(&self) -> Option<Time> {
-        self.inner.borrow().frames.front().map(|f| f.ready_at)
+    /// The drainer's activity as far as this wire goes: quiescent when it
+    /// is empty, otherwise inert until the head frame finishes arriving.
+    /// Wires are FIFO, so nothing can be taken before that instant.
+    pub fn activity(&self) -> Activity {
+        match self.inner.borrow().frames.front() {
+            Some(f) => Activity::Until(f.ready_at),
+            None => Activity::Quiescent,
+        }
     }
 
     /// Frames on the wire (in flight or waiting).
@@ -329,21 +332,20 @@ impl Module for EthMacTx {
     }
 
     /// Idle when the datapath has no word for us: the backlog gate and wire
-    /// schedule only change when a word is consumed.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
-    }
-
-    /// With words waiting but the backlog gate closed, the tick is a no-op
-    /// until the committed wire time drains below the FIFO budget — a known
-    /// instant, since `line_busy_until` only moves when a frame is accepted.
-    /// Mid-frame words always flow, so no bound exists then.
-    fn next_activity(&self) -> Option<Time> {
+    /// schedule only change when a word is consumed. With words waiting but
+    /// the backlog gate closed, the tick is a no-op until the committed wire
+    /// time drains below the FIFO budget — a known instant, since
+    /// `line_busy_until` only moves when a frame is accepted. Mid-frame
+    /// words always flow, so no bound exists then.
+    fn activity(&self) -> Activity {
+        if !self.input.can_pop() {
+            return Activity::Quiescent;
+        }
         if self.reasm.mid_packet() {
-            return None;
+            return Activity::Active;
         }
         let backlog_limit = self.rate.time_for_bytes(TX_FIFO_BYTES);
-        Some(self.line_busy_until.saturating_sub(backlog_limit))
+        Activity::Until(self.line_busy_until.saturating_sub(backlog_limit))
     }
 
     /// Only the input stream can change this MAC's activity from outside:
@@ -479,21 +481,16 @@ impl Module for EthMacRx {
         }
     }
 
-    /// Idle only when no words are staged *and* the wire is completely
-    /// empty: an in-flight frame with a future `ready_at` is scheduled
-    /// (time-dependent) work, so it blocks quiescence.
-    fn is_quiescent(&self) -> bool {
-        self.pending.is_empty() && self.wire.is_empty()
-    }
-
-    /// With no words staged, the tick is a no-op until the head frame on
-    /// the FIFO wire finishes arriving. Staged words must drain one cycle
-    /// at a time, so no bound exists while any are pending.
-    fn next_activity(&self) -> Option<Time> {
+    /// Staged words must drain one cycle at a time, so no bound exists
+    /// while any are pending. With none staged the MAC follows its wire:
+    /// idle when the wire is completely empty, otherwise a no-op until the
+    /// head frame finishes arriving (an in-flight frame with a future
+    /// `ready_at` is scheduled work, so it blocks quiescence).
+    fn activity(&self) -> Activity {
         if self.pending.is_empty() {
-            self.wire.head_ready_at()
+            self.wire.activity()
         } else {
-            None
+            Activity::Active
         }
     }
 

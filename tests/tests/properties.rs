@@ -2,7 +2,7 @@
 //! traffic, checked with proptest.
 
 use netfpga_core::board::BoardSpec;
-use netfpga_core::time::Time;
+use netfpga_core::time::{Frequency, Time};
 use netfpga_datapath::lpm::RouteEntry;
 use netfpga_datapath::ParsedHeaders;
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -131,43 +131,17 @@ proptest! {
     }
 }
 
-/// Support for the kernel-equivalence property below: tiny modules and a
-/// frequency palette that mixes phase-aligned clocks (calendar-friendly),
-/// odd periods, and a near-coprime slow clock that blows the hyperperiod
-/// cap (forcing the heap fallback).
-mod kernel {
-    use netfpga_core::sim::{Module, TickContext};
-    use netfpga_core::time::Frequency;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// Pick a clock frequency from the palette.
-    pub fn freq(i: usize) -> Frequency {
-        match i % 6 {
-            0 => Frequency::mhz(500),        // 2 ns
-            1 => Frequency::mhz(250),        // 4 ns
-            2 => Frequency::mhz(200),        // 5 ns
-            3 => Frequency::hz(142_857_143), // ~7 ns
-            4 => Frequency::hz(90_909_091),  // ~11 ns
-            _ => Frequency::hz(999_983),     // ~1.000017 us: wrecks the lcm
-        }
-    }
-
-    /// Records every edge of its clock domain: (domain id, instant).
-    /// Deliberately never quiescent, so traces taken with a probe pin the
-    /// exact edge schedule including coincident-edge ordering.
-    pub struct EdgeProbe {
-        pub id: u8,
-        pub trace: Rc<RefCell<Vec<(u8, u64)>>>,
-    }
-
-    impl Module for EdgeProbe {
-        fn name(&self) -> &str {
-            "probe"
-        }
-        fn tick(&mut self, ctx: &TickContext) {
-            self.trace.borrow_mut().push((self.id, ctx.now.as_ps()));
-        }
+/// The clock palette of the kernel-equivalence property below: it mixes
+/// phase-aligned clocks, odd periods, and a near-coprime slow clock that
+/// almost never shares an edge with the others.
+fn kernel_freq(i: usize) -> Frequency {
+    match i % 6 {
+        0 => Frequency::mhz(500),        // 2 ns
+        1 => Frequency::mhz(250),        // 4 ns
+        2 => Frequency::mhz(200),        // 5 ns
+        3 => Frequency::hz(142_857_143), // ~7 ns
+        4 => Frequency::hz(90_909_091),  // ~11 ns
+        _ => Frequency::hz(999_983),     // ~1.000017 us: co-prime
     }
 }
 
@@ -177,11 +151,10 @@ proptest! {
     /// The fast-path kernel is an optimization, not a semantics change:
     /// for random clock sets, random source→stage→sink topologies (with
     /// cross-domain streams and random burst flags) and a random schedule
-    /// of `run_for`/`run_cycles` calls with mid-run injection, the edge
-    /// calendar and the heap fallback produce the same edge trace, the
-    /// same captured packets (bytes, metadata and arrival instants) and
-    /// the same final clock state as the naive linear scan — and
-    /// quiescence fast-forwarding changes nothing observable either.
+    /// of `run_for`/`run_cycles` calls with mid-run injection, the cached
+    /// kernel with idle fast-forward produces the same captured packets
+    /// (bytes, metadata and arrival instants) and the same final clock
+    /// state as the naive scan that ticks every module at every edge.
     #[test]
     fn prop_kernel_equivalence(
         clock_sel in proptest::collection::vec(0usize..6, 1..4),
@@ -196,23 +169,15 @@ proptest! {
         use netfpga_core::stream::{Meta, Stream};
         use netfpga_datapath::stage::StageAction;
         use netfpga_datapath::PacketStage;
-        use std::cell::RefCell;
-        use std::rc::Rc;
 
-        let run = |mode: SchedulerMode, idle_skip: bool, probe: bool| {
+        let run = |mode: SchedulerMode, idle_skip: bool| {
             let mut sim = Simulator::with_scheduler(mode);
             sim.set_idle_skip(idle_skip);
             let clks: Vec<_> = clock_sel
                 .iter()
                 .enumerate()
-                .map(|(i, &f)| sim.add_clock(&format!("clk{i}"), kernel::freq(f)))
+                .map(|(i, &f)| sim.add_clock(&format!("clk{i}"), kernel_freq(f)))
                 .collect();
-            let trace = Rc::new(RefCell::new(Vec::new()));
-            if probe {
-                for (i, &c) in clks.iter().enumerate() {
-                    sim.add_module(c, kernel::EdgeProbe { id: i as u8, trace: trace.clone() });
-                }
-            }
             let mut injects = Vec::new();
             let mut caps = Vec::new();
             for &(ca, cb, lat, burst) in &pipes {
@@ -255,23 +220,14 @@ proptest! {
             sim.run_for(Time::from_us(3)); // settle: drain every pipeline
             let caps: Vec<Vec<CapturedPacket>> = caps.iter().map(|c| c.drain()).collect();
             let cycles: Vec<u64> = clks.iter().map(|&c| sim.cycles(c)).collect();
-            let trace = trace.borrow().clone();
-            (trace, caps, sim.now(), cycles)
+            (caps, sim.now(), cycles)
         };
 
-        // Scheduler equivalence, edge-by-edge: probes force every edge to
-        // tick, so the traces pin the full schedule.
-        let scan = run(SchedulerMode::Scan, false, true);
-        prop_assert_eq!(&run(SchedulerMode::Calendar, false, true), &scan);
-        prop_assert_eq!(&run(SchedulerMode::Heap, false, true), &scan);
-
-        // Quiescence fast-forward equivalence: no probes, so idle
-        // stretches really are skipped, and everything observable —
+        // Idle stretches really are skipped, and everything observable —
         // packets, arrival times, final now, per-domain cycle counts —
         // must still match the naive scan.
-        let naive = run(SchedulerMode::Scan, false, false);
-        prop_assert_eq!(&run(SchedulerMode::Auto, true, false), &naive);
-        prop_assert_eq!(&run(SchedulerMode::Heap, true, false), &naive);
+        let naive = run(SchedulerMode::Scan, false);
+        prop_assert_eq!(&run(SchedulerMode::Auto, true), &naive);
     }
 }
 
@@ -291,7 +247,6 @@ proptest! {
     ) {
         use netfpga_core::pktbuf::PktBuf;
         use netfpga_core::sim::Simulator;
-        use netfpga_core::time::Frequency;
         use netfpga_phy::link::{Link, LinkConfig};
         use netfpga_phy::mac::{Wire, WireFrame};
 
@@ -384,7 +339,7 @@ proptest! {
         };
 
         let base = run(SchedulerMode::Scan, true);
-        for mode in [SchedulerMode::Scan, SchedulerMode::Calendar, SchedulerMode::Heap] {
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             for pool in [true, false] {
                 prop_assert_eq!(
                     &run(mode, pool), &base,
@@ -400,7 +355,7 @@ proptest! {
 
     /// Quiescence never skips a scheduled fault: a `FaultPlan` event deep
     /// inside an idle stretch is exactly where fast-forwarding is tempted
-    /// to jump — the injector's `is_quiescent` must hold the kernel back so
+    /// to jump — the injector's `activity` bound must hold the kernel back so
     /// the link-down window opens at its scheduled instant, not late. A
     /// frame offered inside the window is dropped (and counted) and a
     /// frame after it floods, identically with and without idle skipping.
@@ -503,7 +458,7 @@ proptest! {
         };
 
         let base = run(SchedulerMode::Scan, false);
-        for mode in [SchedulerMode::Scan, SchedulerMode::Calendar, SchedulerMode::Heap] {
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             for idle_skip in [false, true] {
                 prop_assert_eq!(
                     &run(mode, idle_skip), &base,
@@ -764,7 +719,7 @@ proptest! {
     /// (no wedge — retry alone must heal), every frame the channel accepts
     /// exits the wire exactly once (no loss, no duplicates, acks equal
     /// accepts), and the delivered byte stream, retry count and dedup
-    /// counters are bit-identical across scan/calendar/heap scheduling
+    /// counters are bit-identical across scan and cached scheduling
     /// with idle fast-forward on or off.
     #[test]
     fn prop_reliable_channel_exactly_once_and_schedule_invariant(
@@ -840,7 +795,7 @@ proptest! {
         prop_assert_eq!(seen.len() as u64, *accepted, "every accepted frame delivered once");
         prop_assert_eq!(*acked, *accepted, "every sequence acked exactly once");
 
-        for mode in [SchedulerMode::Scan, SchedulerMode::Calendar, SchedulerMode::Heap] {
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             for idle_skip in [false, true] {
                 prop_assert_eq!(
                     &run(mode, idle_skip), &base,
